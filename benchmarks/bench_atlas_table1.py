@@ -9,9 +9,8 @@ failures.
 
 import pytest
 
-from repro.atlas import run_experiment, table1
-from repro.atlas.steps import PIPELINE_STEPS
-from repro.report.scenarios import e5_rules
+from repro.atlas import table1
+from repro.report.scenarios import execute
 from repro.viz import render_table
 
 PAPER_TABLE1 = {
@@ -23,13 +22,12 @@ PAPER_TABLE1 = {
 }
 
 
-def run_cloud():
-    return run_experiment("cloud", n_files=99, seed=0, max_instances=12)
-
-
 @pytest.mark.slow
 def test_atlas_table1(benchmark, report, verdict):
-    result = benchmark.pedantic(run_cloud, rounds=1, iterations=1)
+    run = benchmark.pedantic(
+        lambda: execute("E5", "full"), rounds=1, iterations=1
+    )
+    result = run.raw
     rows = table1(result.records)
 
     rendered = render_table(
@@ -77,17 +75,5 @@ def test_atlas_table1(benchmark, report, verdict):
     # No step's memory approaches the 8 GiB instance (4 GB guidance).
     assert all(r.mem_max_mb < 4000 for r in rows)
 
-    rep = verdict(
-        "E5",
-        title="Table 1 — per-step instance metrics, cloud run",
-        headline={
-            "files": len(result.records),
-            "failures": result.failures,
-            "makespan_h": result.makespan / 3600,
-            "salmon_cpu_mean_pct": by_step["salmon"].cpu_mean_pct,
-            "salmon_mem_max_mb": by_step["salmon"].mem_max_mb,
-            "fasterq_iowait_mean_pct": by_step["fasterq_dump"].iowait_mean_pct,
-        },
-        rules=e5_rules(),
-    )
+    rep = verdict(run)
     assert rep.ok

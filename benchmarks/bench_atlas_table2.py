@@ -8,8 +8,8 @@ efficiency ≈ 72%.
 
 import pytest
 
-from repro.atlas import compare_cloud_hpc, run_experiment
-from repro.report.scenarios import e6_rules
+from repro.atlas import compare_cloud_hpc
+from repro.report.scenarios import execute
 from repro.viz import render_table
 
 PAPER_VERDICTS = {
@@ -20,15 +20,12 @@ PAPER_VERDICTS = {
 }
 
 
-def run_both():
-    cloud = run_experiment("cloud", n_files=99, seed=0, max_instances=12)
-    hpc = run_experiment("hpc", n_files=99, seed=0, slots=12)
-    return cloud, hpc
-
-
 @pytest.mark.slow
 def test_atlas_table2(benchmark, report, verdict):
-    cloud, hpc = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    run = benchmark.pedantic(
+        lambda: execute("E6", "full"), rounds=1, iterations=1
+    )
+    cloud, hpc = run.raw
     rows = compare_cloud_hpc(cloud.records, hpc.records)
 
     rendered = render_table(
@@ -66,18 +63,5 @@ def test_atlas_table2(benchmark, report, verdict):
     # Overall: both finish in the same few-hour band; efficiency ~72%.
     assert 0.6 <= hpc.job_efficiency() <= 0.85
 
-    rep = verdict(
-        "E6",
-        title="Table 2 — cloud vs HPC per-step execution times",
-        headline={
-            "cloud_makespan_h": cloud.makespan / 3600,
-            "hpc_makespan_h": hpc.makespan / 3600,
-            "hpc_job_efficiency": hpc.job_efficiency(),
-            "prefetch_hpc_rel_diff": by_step["prefetch"].hpc_relative_diff,
-            "fasterq_hpc_rel_diff": by_step["fasterq_dump"].hpc_relative_diff,
-            "salmon_hpc_rel_diff": by_step["salmon"].hpc_relative_diff,
-            "deseq2_hpc_rel_diff": by_step["deseq2"].hpc_relative_diff,
-        },
-        rules=e6_rules(),
-    )
+    rep = verdict(run)
     assert rep.ok

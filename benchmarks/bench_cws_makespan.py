@@ -4,23 +4,22 @@ Paper claim: "the CWSI can reduce makespan up to 25% with simple
 workflow-aware strategies"; "rank and file size [...] achieve an
 average runtime reduction of 10.8%".
 
-This bench runs the five-class workflow mix over three seeds on the
-heterogeneous testbed, under FIFO / rank / filesize / predictive-HEFT,
-and reports per-strategy mean and max makespan reductions.
+This bench runs the registry's E1 at full scale: the five-class
+workflow mix over three seeds on the heterogeneous testbed, under FIFO /
+rank / filesize / predictive-HEFT, and reports per-strategy mean and
+max makespan reductions.
 """
 
-from repro.cws.experiment import STRATEGIES, makespan_experiment, summarize
-from repro.report.scenarios import e1_rules
+from repro.cws.experiment import STRATEGIES
+from repro.report.scenarios import execute
 from repro.viz import render_table
 
 
-def run_experiment():
-    rows = makespan_experiment(seeds=(0, 1, 2))
-    return rows, summarize(rows)
-
-
 def test_cws_makespan_reduction(benchmark, report, verdict):
-    rows, summary = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    run = benchmark.pedantic(
+        lambda: execute("E1", "full"), rounds=1, iterations=1
+    )
+    rows, summary = run.raw["rows"], run.raw["summary"]
 
     table_rows = []
     for strategy, stats in summary["per_strategy"].items():
@@ -59,15 +58,5 @@ def test_cws_makespan_reduction(benchmark, report, verdict):
         assert 0.15 <= stats["max_reduction"] <= 0.40
         assert stats["wins"] >= stats["n"] * 0.7
 
-    headline = {
-        f"{strategy}_{key}_reduction": stats[f"{key}_reduction"]
-        for strategy, stats in summary["per_strategy"].items()
-        for key in ("mean", "max")
-    }
-    rep = verdict(
-        "E1",
-        title="CWS workflow-aware scheduling vs FIFO",
-        headline=headline,
-        rules=e1_rules(),
-    )
+    rep = verdict(run)
     assert rep.ok

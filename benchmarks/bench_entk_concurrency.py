@@ -13,41 +13,17 @@ tasks) and drains at the end.
 import numpy as np
 import pytest
 
-from repro.entk import AppManager, Pipeline, ResourceDescription, Stage
-from repro.entk.platforms import platform_cluster
-from repro.exaam import frontier_stage3_tasks
-from repro.obs import enable_tracing
-from repro.report.scenarios import e3_rules
-from repro.rm import BatchScheduler
-from repro.simkernel import Environment
+from repro.report.scenarios import execute
 from repro.viz import render_series, render_table
-
-
-def run_and_profile(n_tasks=7875, nodes=8000, seed=42, trace=False):
-    env = Environment()
-    tracer = enable_tracing(env) if trace else None
-    cluster = platform_cluster(env, "frontier", nodes=nodes)
-    batch = BatchScheduler(env, cluster, backfill=False)
-    am = AppManager(
-        env, batch, ResourceDescription(nodes=nodes, walltime_s=12 * 3600)
-    )
-    pipeline = Pipeline(name="uq-stage3")
-    stage = Stage(name="exaconstit")
-    stage.add_tasks(frontier_stage3_tasks(n_tasks, rng=np.random.default_rng(seed)))
-    pipeline.add_stage(stage)
-    result = am.run([pipeline])
-    env.run(until=result.done)
-    assert result.succeeded
-    if trace:
-        return result.profiles[0], tracer
-    return result.profiles[0]
 
 
 @pytest.mark.slow
 def test_entk_concurrency_curves(benchmark, report, verdict):
-    prof, tracer = benchmark.pedantic(
-        lambda: run_and_profile(trace=True), rounds=1, iterations=1
+    run = benchmark.pedantic(
+        lambda: execute("E3", "full"), rounds=1, iterations=1
     )
+    assert run.raw.succeeded
+    prof, tracer = run.raw.profiles[0], run.tracer
 
     # Measure the initial slopes inside the ramp (before capacity or the
     # scheduler backlog saturates them).
@@ -93,18 +69,5 @@ def test_entk_concurrency_curves(benchmark, report, verdict):
         assert np.array_equal(values_q, np.asarray(prof_series[1]))
     assert q.concurrency(category="entk.exec", component=pilot).peak == 1000
 
-    rep = verdict(
-        "E3",
-        tracer,
-        title="Fig 5 — EnTK task-state concurrency curves",
-        headline={
-            "scheduling_throughput": sched_slope,
-            "launch_throughput": launch_slope,
-            "peak_concurrency": prof.peak_concurrency,
-            "tasks_done": prof.tasks_done,
-        },
-        rules=e3_rules(8000),
-        component=pilot,
-        straggler_category="entk.exec",
-    )
+    rep = verdict(run)
     assert rep.ok

@@ -14,80 +14,22 @@ task failures, every one of them reruns to success, and the ensemble
 completes with only the two numerical casualties.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster import FaultInjector
-from repro.entk import (
-    AgentConfig,
-    AppManager,
-    EnTask,
-    Pipeline,
-    ResourceDescription,
-    Stage,
-    TaskState,
-)
-from repro.entk.platforms import platform_cluster
-from repro.exaam import frontier_stage3_tasks
-from repro.obs import enable_tracing
-from repro.report.scenarios import e4_rules
-from repro.rm import BatchScheduler
+from repro.entk import AgentConfig, EnTask, TaskState
+from repro.report.scenarios import execute
 from repro.simkernel import Environment
 from repro.viz import render_table
 
 
-def numerical_failure_task(name: str, duration: float) -> EnTask:
-    """A task whose last simulation step always diverges."""
-
-    def work(env, task, nodes):
-        yield env.timeout(duration * 0.95)
-        raise RuntimeError(
-            "time step too large for this loading condition and RVE"
-        )
-
-    return EnTask(work=work, nodes=8, cores_per_node=56, gpus_per_node=8, name=name)
-
-
-def run_fault_scenario(n_tasks=790, nodes=800, seed=42):
-    env = Environment()
-    tracer = enable_tracing(env)
-    cluster = platform_cluster(env, "frontier", nodes=nodes)
-    batch = BatchScheduler(env, cluster, backfill=False)
-    agent = AgentConfig(
-        node_strikes=8,       # delayed failure propagation: 8 casualties
-        fail_detect_s=15.0,
-        max_task_retries=2,
-    )
-    am = AppManager(
-        env,
-        batch,
-        ResourceDescription(nodes=nodes, walltime_s=24 * 3600, agent=agent,
-                            max_jobs=1),
-    )
-    tasks = frontier_stage3_tasks(
-        n_tasks - 2, rng=np.random.default_rng(seed)
-    )
-    tasks += [
-        numerical_failure_task("constit-diverge-0", 900.0),
-        numerical_failure_task("constit-diverge-1", 1100.0),
-    ]
-    pipeline = Pipeline(name="uq-stage3")
-    stage = Stage(name="exaconstit")
-    stage.add_tasks(tasks)
-    pipeline.add_stage(stage)
-    result = am.run([pipeline])
-    # Kill one node mid-run (index scales with the cluster size).
-    victim = cluster.nodes[nodes // 2].id
-    FaultInjector(env, cluster, schedule=[(2000.0, victim)], downtime=None)
-    env.run(until=result.done)
-    return result, tasks, tracer
-
-
 @pytest.mark.slow
 def test_entk_fault_tolerance(benchmark, report, verdict):
-    result, tasks, tracer = benchmark.pedantic(
-        run_fault_scenario, rounds=1, iterations=1
+    run = benchmark.pedantic(
+        lambda: execute("E4", "full"), rounds=1, iterations=1
     )
+    result = run.raw
+    tasks = [t for pl in result.pipelines for t in pl.all_tasks()]
     prof = result.profiles[0]
 
     node_failures = [
@@ -124,29 +66,16 @@ def test_entk_fault_tolerance(benchmark, report, verdict):
     }
     assert result.tasks_done() == len(tasks) - 2
 
-    rep = verdict(
-        "E4",
-        tracer,
-        title="EnTK fault tolerance under a node failure",
-        headline={
-            "tasks_done": result.tasks_done(),
-            "task_failure_events": prof.tasks_failed_events,
-            "permanently_failed": len(permanently_failed),
-        },
-        rules=e4_rules(len(tasks)),
-        component="entk-pilot-0",
-        straggler_category="entk.exec",
-    )
+    rep = verdict(run)
+    assert rep.headline["permanently_failed"] == len(permanently_failed)
     assert rep.ok
 
 
 def prof_failures(result):
-    """(task, time, cause) across all pilot jobs of the run."""
+    """(task, time, cause) for every failed attempt of the run."""
     events = []
-    for _profile in result.profiles:
-        pass
-    # Failures live on the agent; RunProfile keeps the count, the
-    # AppManager keeps per-task causes on the tasks themselves.
+    # RunProfile keeps only the count; the AppManager keeps per-task
+    # causes on the tasks themselves.
     for pl in result.pipelines:
         for t in pl.all_tasks():
             for cause in t.failure_causes:

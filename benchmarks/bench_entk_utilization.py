@@ -15,42 +15,18 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.entk import AppManager, Pipeline, ResourceDescription, Stage
-from repro.entk.platforms import platform_cluster
-from repro.exaam import frontier_stage3_tasks
-from repro.obs import enable_tracing
 from repro.obs.export import write_chrome_trace
-from repro.report.scenarios import e2_rules
-from repro.rm import BatchScheduler
-from repro.simkernel import Environment
+from repro.report.scenarios import execute
 from repro.viz import render_series, render_stacked_bar, render_table
-
-
-def run_frontier_stage3(n_tasks=7875, nodes=8000, seed=42, trace=False):
-    env = Environment()
-    tracer = enable_tracing(env) if trace else None
-    cluster = platform_cluster(env, "frontier", nodes=nodes)
-    batch = BatchScheduler(env, cluster, backfill=False)
-    am = AppManager(
-        env, batch, ResourceDescription(nodes=nodes, walltime_s=12 * 3600)
-    )
-    pipeline = Pipeline(name="uq-stage3")
-    stage = Stage(name="exaconstit")
-    stage.add_tasks(frontier_stage3_tasks(n_tasks, rng=np.random.default_rng(seed)))
-    pipeline.add_stage(stage)
-    result = am.run([pipeline])
-    env.run(until=result.done)
-    assert result.succeeded
-    if trace:
-        return result.profiles[0], tracer
-    return result.profiles[0]
 
 
 @pytest.mark.slow
 def test_entk_frontier_utilization(benchmark, report, verdict):
-    prof, tracer = benchmark.pedantic(
-        lambda: run_frontier_stage3(trace=True), rounds=1, iterations=1
+    run = benchmark.pedantic(
+        lambda: execute("E2", "full"), rounds=1, iterations=1
     )
+    assert run.raw.succeeded
+    prof, tracer = run.raw.profiles[0], run.tracer
 
     bar = render_stacked_bar(
         [("OVH", prof.ovh), ("TTX", prof.ttx)], total=prof.job_runtime
@@ -120,23 +96,7 @@ def test_entk_frontier_utilization(benchmark, report, verdict):
 
     # Machine-readable verdict (BENCH_E2.json) with the same shape
     # targets as SLO rules, plus the critical-path decomposition.
-    rep = verdict(
-        "E2",
-        tracer,
-        title="Fig 4 — EnTK resource utilization on Frontier",
-        headline={
-            "tasks_done": prof.tasks_done,
-            "core_utilization": prof.core_utilization,
-            "gpu_utilization": prof.gpu_utilization,
-            "ovh_s": prof.ovh,
-            "ttx_s": prof.ttx,
-            "job_runtime_s": prof.job_runtime,
-        },
-        rules=e2_rules(8000),
-        component="entk-pilot-0",
-        straggler_category="entk.exec",
-        idle_metric=("entk-pilot-0", "cores"),
-    )
+    rep = verdict(run)
     assert rep.ok
     # The critical path tiles the pilot job exactly: phase durations
     # sum to the job runtime, and the bootstrap phase is the 85 s OVH.

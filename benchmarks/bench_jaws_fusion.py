@@ -4,90 +4,24 @@ Paper: "in one of JGI's workflows, by integrating four separate tasks
 into a single task, we cut the execution time by 70% and decreased the
 number of shards by 71%."
 
-We build a JGI-like workflow — a scatter over 25 samples, each running
-a 4-task QC chain — on a cost model where per-shard overhead
-(container start + file staging on a strained shared filesystem)
-dominates short tasks.  Fusing the chain removes three of the four
-per-sample overheads and 75% of the shards.
+The registry's E7 at full scale builds a JGI-like workflow — a
+scatter over 25 samples, each running a 4-task QC chain — on a cost
+model where per-shard overhead (container start + file staging on a
+strained shared filesystem) dominates short tasks.  Fusing the chain
+removes three of the four per-sample overheads and 75% of the shards.
 """
 
-from repro.cluster import Cluster, NodeSpec
-from repro.jaws import CromwellEngine, EngineOptions, fuse_linear_chains, parse_wdl
-from repro.report.scenarios import e7_rules
-from repro.rm import BatchScheduler
-from repro.simkernel import Environment
+from repro.report.scenarios import execute
 from repro.viz import render_table
 
 
-def jgi_workflow(samples: int = 25) -> str:
-    names = ", ".join(f'"s{i}.fq"' for i in range(samples))
-    return f"""
-    version 1.0
-    task qc {{
-        input {{ File reads }}
-        command <<< run_qc >>>
-        output {{ File cleaned = "cleaned.fq" }}
-        runtime {{ cpu: 2, runtime_minutes: 1, docker: "jgi/qc@sha256:aa" }}
-    }}
-    task trim {{
-        input {{ File cleaned }}
-        command <<< run_trim >>>
-        output {{ File trimmed = "trimmed.fq" }}
-        runtime {{ cpu: 2, runtime_minutes: 1, docker: "jgi/qc@sha256:aa" }}
-    }}
-    task align {{
-        input {{ File trimmed }}
-        command <<< run_align >>>
-        output {{ File bam = "out.bam" }}
-        runtime {{ cpu: 4, runtime_minutes: 2, docker: "jgi/align@sha256:bb" }}
-    }}
-    task stats {{
-        input {{ File bam }}
-        command <<< run_stats >>>
-        output {{ File report = "stats.txt" }}
-        runtime {{ cpu: 1, runtime_minutes: 1, docker: "jgi/qc@sha256:aa" }}
-    }}
-    workflow sample_qc {{
-        input {{ Array[File] samples = [{names}] }}
-        scatter (s in samples) {{
-            call qc {{ input: reads = s }}
-            call trim {{ input: cleaned = qc.cleaned }}
-            call align {{ input: trimmed = trim.trimmed }}
-            call stats {{ input: bam = align.bam }}
-        }}
-    }}
-    """
-
-
-#: Overhead-dominated cost model: shared-filesystem staging costs far
-#: more than the 1-2 minute tools (the regime the JGI anecdote is in).
-OPTIONS = EngineOptions(container_start_s=45.0, stage_overhead_s=420.0)
-
-
-def execute(doc):
-    env = Environment()
-    cluster = Cluster(env, pools=[(NodeSpec("c", cores=16, memory_gb=128), 32)])
-    engine = CromwellEngine(env, BatchScheduler(env, cluster), OPTIONS)
-    result = engine.run(doc)
-    env.run(until=result.done)
-    assert result.succeeded, result.error
-    return result
-
-
-def run_fusion_experiment():
-    baseline = execute(parse_wdl(jgi_workflow()))
-    fused_doc, fusions = fuse_linear_chains(parse_wdl(jgi_workflow()))
-    fused = execute(fused_doc)
-    return baseline, fused, fusions
-
-
 def test_jaws_task_fusion(benchmark, report, verdict):
-    baseline, fused, fusions = benchmark.pedantic(
-        run_fusion_experiment, rounds=1, iterations=1
+    run = benchmark.pedantic(
+        lambda: execute("E7", "full"), rounds=1, iterations=1
     )
+    baseline, fused, fusions = run.raw
     # Per-sample critical path: 4 sequential shards vs 1 fused shard.
-    time_cut = 1 - fused.makespan / baseline.makespan
-    shard_cut = 1 - fused.shard_count / baseline.shard_count
+    time_cut, shard_cut = run.headline["time_cut"], run.headline["shard_cut"]
 
     table = render_table(
         ["metric", "paper", "measured"],
@@ -106,17 +40,5 @@ def test_jaws_task_fusion(benchmark, report, verdict):
     assert shard_cut == 0.75                      # paper: 71%
     assert 0.55 <= time_cut <= 0.85               # paper: 70%
 
-    rep = verdict(
-        "E7",
-        title="JGI task fusion: 4-task QC chain -> 1",
-        headline={
-            "baseline_makespan_s": baseline.makespan,
-            "fused_makespan_s": fused.makespan,
-            "time_cut": time_cut,
-            "baseline_shards": baseline.shard_count,
-            "fused_shards": fused.shard_count,
-            "shard_cut": shard_cut,
-        },
-        rules=e7_rules(),
-    )
+    rep = verdict(run)
     assert rep.ok

@@ -9,48 +9,15 @@ forwarding loop recovers from an injected failure, and the produced
 phylogeny is scientifically coherent (recovers the planted clones).
 """
 
-from repro.llm import (
-    ChatWorkflowDriver,
-    MockFunctionCallingLLM,
-    PhyloflowAdapters,
-    make_synthetic_vcf,
-)
-from repro.report.scenarios import e8_rules
+from repro.report.scenarios import PHYLOFLOW_ORDER, execute
 from repro.viz import render_table
-
-PIPELINE_ORDER = [
-    "vcf_transform_from_file",
-    "pyclone_vi_from_futures",
-    "spruce_format_from_futures",
-    "spruce_phylogeny_from_futures",
-]
-
-INSTRUCTION = (
-    "Run the full phyloflow pipeline on tumor.vcf: transform the VCF, "
-    "cluster the mutations into 3 clusters, and build the phylogeny."
-)
-
-
-def run_pipeline():
-    vcf = make_synthetic_vcf(n_mutations=90, n_clones=3, depth=500, seed=11)
-    adapters = PhyloflowAdapters(files={"tumor.vcf": vcf})
-    driver = ChatWorkflowDriver(MockFunctionCallingLLM(), adapters)
-    result = driver.run(INSTRUCTION)
-    tree = driver.final_value(result)
-
-    # Error-forwarding variant: one injected transient failure.
-    adapters2 = PhyloflowAdapters(files={"tumor.vcf": vcf})
-    adapters2.inject_failure("pyclone_vi_from_futures", times=1)
-    driver2 = ChatWorkflowDriver(MockFunctionCallingLLM(), adapters2)
-    recovery = driver2.run(INSTRUCTION)
-    tree2 = driver2.final_value(recovery)
-    return result, tree, recovery, tree2
 
 
 def test_llm_phyloflow_pipeline(benchmark, report, verdict):
-    result, tree, recovery, tree2 = benchmark.pedantic(
-        run_pipeline, rounds=1, iterations=1
+    run = benchmark.pedantic(
+        lambda: execute("E8", "full"), rounds=1, iterations=1
     )
+    result, tree, recovery, tree2 = run.raw
 
     table = render_table(
         ["metric", "paper behaviour", "measured"],
@@ -69,7 +36,7 @@ def test_llm_phyloflow_pipeline(benchmark, report, verdict):
     )
     report("E8_llm_phyloflow", "E8: NL-driven Phyloflow execution\n\n" + table)
 
-    assert result.calls_made() == PIPELINE_ORDER
+    assert result.calls_made() == PHYLOFLOW_ORDER
     assert result.api_calls == 5
     assert result.stopped and not result.errors
     assert tree["n_clones"] == 3
@@ -80,18 +47,5 @@ def test_llm_phyloflow_pipeline(benchmark, report, verdict):
     assert recovery.calls_made().count("pyclone_vi_from_futures") == 2
     assert tree2["n_clones"] == 3
 
-    rep = verdict(
-        "E8",
-        title="NL-driven Phyloflow execution via function calling",
-        headline={
-            "api_calls": result.api_calls,
-            "steps_in_order": int(result.calls_made() == PIPELINE_ORDER),
-            "futures_registered": len(result.future_ids),
-            "n_clones": tree["n_clones"],
-            "confidence": tree["confidence"],
-            "errors_forwarded": len(recovery.errors),
-            "recovered_n_clones": tree2["n_clones"],
-        },
-        rules=e8_rules(),
-    )
+    rep = verdict(run)
     assert rep.ok

@@ -30,20 +30,21 @@ def report():
 
 @pytest.fixture
 def verdict():
-    """``verdict(bench_id, **build_report_kwargs)`` — machine verdict.
+    """``verdict(run)`` — machine verdict for a registry scenario run.
 
-    Builds a :class:`repro.report.RunReport` from the benchmark's own
-    run (tracer, headline scalars, SLO rules), writes the
+    Builds the scenario's :class:`repro.report.RunReport` (tracer,
+    headline scalars, SLO rules) from a
+    :func:`repro.report.scenarios.execute` result, writes the
     ``BENCH_<id>.json`` document to ``benchmarks/results/`` (the file
     CI uploads and gates on), and returns the report so the test can
     assert on it.
     """
-    from repro.report import build_report, write_verdict
+    from repro.report import scenarios, write_verdict
 
-    def _verdict(bench_id: str, *args, **kwargs):
-        rep = build_report(bench_id, *args, **kwargs)
+    def _verdict(run):
+        rep = scenarios.report(run)
         path = write_verdict(rep, RESULTS_DIR)
-        print(f"\n[{bench_id} verdict: {rep.status} -> {path}]")
+        print(f"\n[{rep.bench_id} verdict: {rep.status} -> {path}]")
         return rep
 
     return _verdict

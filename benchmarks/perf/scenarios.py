@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.cluster import Cluster, NodeSpec
 from repro.rm import BatchScheduler
 from repro.rm.base import Job, ResourceRequest
@@ -244,37 +242,30 @@ def jaws_shards(n_shards: int = 10_000, nodes: int = 256) -> dict:
 # -- full-scale E2/E3 ---------------------------------------------------------------
 
 
-def entk_frontier(n_tasks: int = 7875, nodes: int = 8000, seed: int = 42) -> dict:
-    """The paper's Frontier UQ campaign (E2/E3) at the given scale.
+def entk_frontier(scale: str = "full") -> dict:
+    """The paper's Frontier UQ campaign: the registry's E2 at ``scale``.
 
     Runs untraced — this measures the substrate, not the observability
     layer; the traced variants live in ``bench_entk_*.py``.
     """
-    from repro.entk import AppManager, Pipeline, ResourceDescription, Stage
-    from repro.entk.platforms import platform_cluster
-    from repro.exaam import frontier_stage3_tasks
+    from repro.report.scenarios import get
 
+    e2 = get("E2")
+    params = e2.params(scale)
     env = Environment()
-    cluster = platform_cluster(env, "frontier", nodes=nodes)
-    batch = BatchScheduler(env, cluster, backfill=False)
-    am = AppManager(
-        env, batch, ResourceDescription(nodes=nodes, walltime_s=24 * 3600)
-    )
-    pipeline = Pipeline(name="uq-stage3")
-    stage = Stage(name="exaconstit")
-    stage.add_tasks(frontier_stage3_tasks(n_tasks, rng=np.random.default_rng(seed)))
-    pipeline.add_stage(stage)
-    result = am.run([pipeline])
+    built = e2.build(env, **params)
     t0 = time.perf_counter()
-    env.run(until=result.done)
+    env.run(until=built.done)
+    result = e2.collect(built).raw
     assert result.succeeded
-    prof = result.profiles[0]
     res = _finish(env, t0, {
-        "params": {"n_tasks": n_tasks, "nodes": nodes, "seed": seed},
+        "params": params,
         "makespan_sim_s": env.now,
-        "sim_core_utilization": round(prof.core_utilization, 4),
+        "sim_core_utilization": round(result.profiles[0].core_utilization, 4),
     })
-    res["throughput"] = round(n_tasks / res["wall_s"], 1) if res["wall_s"] else 0
+    res["throughput"] = (
+        round(params["n_tasks"] / res["wall_s"], 1) if res["wall_s"] else 0
+    )
     res["throughput_unit"] = "tasks/s"
     return res
 
@@ -342,8 +333,8 @@ SCENARIOS: dict[str, PerfScenario] = {
         PerfScenario(
             "entk_frontier",
             entk_frontier,
-            smoke={"n_tasks": 400, "nodes": 400},
-            full={"n_tasks": 7875, "nodes": 8000},
+            smoke={"scale": "reduced"},
+            full={"scale": "full"},
             description="full-scale E2/E3 Frontier UQ campaign",
         ),
     ]

@@ -91,8 +91,29 @@ def run_experiment(
     enabled) to observe the run; by default a fresh environment is
     created.
     """
-    workload = make_workload(n_files=n_files, seed=seed)
     env = env if env is not None else Environment()
+    result = start_experiment(
+        environment, env, n_files, seed, max_instances, slots, pathway
+    )
+    env.run(until=result.done)
+    return result
+
+
+def start_experiment(
+    environment: str,
+    env: Environment,
+    n_files: int = 99,
+    seed: int = 0,
+    max_instances: int = 12,
+    slots: int = 24,
+    pathway: str = "salmon",
+):
+    """Wire :func:`run_experiment`'s deployment onto ``env``.
+
+    Returns the deployment result; the caller drives
+    ``env.run(until=result.done)``.
+    """
+    workload = make_workload(n_files=n_files, seed=seed)
     rng = np.random.default_rng(seed + 1)
     if environment == "cloud":
         deployment = CloudDeployment(
@@ -115,9 +136,7 @@ def run_experiment(
         )
     else:
         raise ValueError("environment must be 'cloud', 'hpc', or 'hybrid'")
-    result = deployment.run(workload)
-    env.run(until=result.done)
-    return result
+    return deployment.run(workload)
 
 
 def table1(records: list) -> list:

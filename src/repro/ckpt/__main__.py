@@ -5,7 +5,6 @@ Subcommands::
     python -m repro.ckpt run --bench E2 --dir /tmp/ckpt        # record
     python -m repro.ckpt resume --dir /tmp/ckpt                # continue
     python -m repro.ckpt digest --dir /tmp/ckpt                # recompute
-    python -m repro.ckpt run --native --dir /tmp/ckpt          # native mode
 
 ``run``/``resume`` print the final trace digest on stdout (the value
 kill/resume round trips are gated on) and exit non-zero when the
@@ -23,14 +22,12 @@ import time
 from repro.obs.tracer import SpanSink
 
 from repro.ckpt.format import read_manifest
-from repro.ckpt.native import resume_native, run_native
 from repro.ckpt.runner import (
     DEFAULT_CADENCE,
     resume,
     run_checkpointed,
     trace_digest_from_spill,
 )
-from repro.ckpt.workload import WorkloadConfig
 
 
 class ThrottleSink(SpanSink):
@@ -61,16 +58,11 @@ def _parse_args(argv):
     run = sub.add_parser("run", help="start a checkpointed run")
     run.add_argument("--dir", required=True, help="checkpoint directory")
     run.add_argument("--bench", default="E2", help="scenario id (default E2)")
-    run.add_argument("--native", action="store_true",
-                     help="run the checkpoint-native reference workload")
-    run.add_argument("--cadence", type=float, default=None,
+    run.add_argument("--cadence", type=float, default=DEFAULT_CADENCE,
                      help="snapshot cadence in simulated seconds")
     run.add_argument("--full", action="store_true",
                      help="paper-scale scenario parameters")
     run.add_argument("--segment-records", type=int, default=2000)
-    run.add_argument("--items", type=int, default=120,
-                     help="native workload size")
-    run.add_argument("--consumers", type=int, default=4)
     run.add_argument("--throttle-ms", type=float, default=0.0,
                      help="wall-clock sleep per record (crash harness)")
 
@@ -90,34 +82,16 @@ def main(argv=None) -> int:
     extra = (ThrottleSink(throttle / 1000.0),) if throttle > 0 else ()
 
     if args.cmd == "run":
-        if args.native:
-            config = WorkloadConfig(
-                n_items=args.items, n_consumers=args.consumers
-            )
-            result = run_native(
-                args.dir,
-                config,
-                cadence=args.cadence if args.cadence is not None else 50.0,
-                segment_records=args.segment_records,
-                extra_sinks=extra,
-            )
-        else:
-            result = run_checkpointed(
-                args.bench,
-                args.dir,
-                cadence=(
-                    args.cadence if args.cadence is not None else DEFAULT_CADENCE
-                ),
-                full=args.full,
-                segment_records=args.segment_records,
-                extra_sinks=extra,
-            )
+        result = run_checkpointed(
+            args.bench,
+            args.dir,
+            cadence=args.cadence,
+            full=args.full,
+            segment_records=args.segment_records,
+            extra_sinks=extra,
+        )
     elif args.cmd == "resume":
-        manifest = read_manifest(args.dir)
-        if manifest is not None and manifest.get("kind") == "native":
-            result = resume_native(args.dir, extra_sinks=extra)
-        else:
-            result = resume(args.dir, extra_sinks=extra)
+        result = resume(args.dir, extra_sinks=extra)
     else:  # digest
         manifest = read_manifest(args.dir)
         if manifest is None:

@@ -1,21 +1,14 @@
 """Checkpoint triggers: when to snapshot, and what state to fingerprint.
 
-Two trigger styles serve the two checkpoint modes:
-
-- :class:`SnapshotTrigger` — a :class:`~repro.obs.tracer.SpanSink`
-  placed *after* the spill sink in a ``TeeSink``.  It watches the
-  simulated time carried by emitted records and fires its callback the
-  first time the stream crosses each cadence boundary.  Because it is
-  driven by the record stream itself, the trigger instant is a pure
-  function of the trace — a resumed re-execution crosses the same
-  boundaries at the same records, which is what lets the verifier
-  compare state fingerprints at the recorded index.  Used by the legacy
-  (replay-token) mode where injecting a kernel process into an existing
-  scenario would perturb the golden trace.
-- :class:`CheckpointCoordinator` — a real kernel process that wakes on
-  the cadence grid (exact absolute instants via ``env.timeout_at``, so
-  float drift cannot split the grid) and snapshots live state.  Used by
-  the native mode, whose workloads are built checkpoint-aware.
+:class:`SnapshotTrigger` is a :class:`~repro.obs.tracer.SpanSink`
+placed *after* the spill sink in a ``TeeSink``.  It watches the
+simulated time carried by emitted records and fires its callback the
+first time the stream crosses each cadence boundary.  Because it is
+driven by the record stream itself, the trigger instant is a pure
+function of the trace — a resumed re-execution crosses the same
+boundaries at the same records, which is what lets the verifier
+compare state fingerprints at the recorded index.  A trigger process
+in the kernel would instead perturb the golden trace.
 
 Fingerprints come from the append-only ``env.ckpt_probes`` registry
 (see :func:`repro.simkernel.register_ckpt_probe`): each probe returns a
@@ -114,51 +107,7 @@ class SnapshotTrigger(SpanSink):
         self._maybe(instant.t)
 
 
-class CheckpointCoordinator:
-    """Kernel process snapshotting on a simulated-time cadence.
-
-    Wakes at exact absolute instants ``cadence, 2·cadence, …`` (grid by
-    multiplication, never accumulation — float sums drift) and calls
-    ``callback(index)`` with the kernel quiescent at that instant.  The
-    process retires itself once ``horizon`` is reached so scenarios
-    that run the event queue to exhaustion still terminate.
-    """
-
-    def __init__(
-        self,
-        env,
-        cadence: float,
-        callback: Callable[[int], None],
-        horizon: float,
-        start_index: int = 0,
-    ):
-        if cadence <= 0:
-            raise ValueError("cadence must be positive")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        self.env = env
-        self.cadence = float(cadence)
-        self.callback = callback
-        self.horizon = float(horizon)
-        self.fired: list[int] = []
-        self._proc = env.process(
-            self._run(start_index), name="ckpt-coordinator"
-        )
-
-    def _run(self, start_index: int):
-        index = start_index + 1
-        while True:
-            t = index * self.cadence
-            if t > self.horizon:
-                return
-            yield self.env.timeout_at(t)
-            self.fired.append(index)
-            self.callback(index)
-            index += 1
-
-
 __all__ = [
-    "CheckpointCoordinator",
     "SnapshotTrigger",
     "collect_fingerprints",
     "verify_fingerprints",

@@ -1,14 +1,13 @@
 """Checkpointed execution and resume of the E1–E8 report scenarios.
 
-The scenarios were written long before this layer existed, and their
-golden trace digests are pinned — so this runner snapshots them
-**without touching their code**: a :func:`repro.obs.tracing_hook`
-intercepts the builder's own ``enable_tracing(env)`` call and swaps in
-a ``TeeSink(InMemorySink, JsonlSpillSink, SnapshotTrigger)``.  The
+The runner snapshots the registry's scenarios
+(:mod:`repro.report.scenarios`) **without touching their code**: it
+builds the scenario onto an environment whose tracer writes to a
+``TeeSink(InMemorySink, JsonlSpillSink, SnapshotTrigger)``.  The
 in-memory leg keeps ``tracer.spans`` (and hence the report verdicts)
-byte-identical to an unhooked run; the spill leg persists every record
-crash-safely; the trigger leg fires snapshots when the record stream
-crosses the cadence grid.
+byte-identical to a plain traced run; the spill leg persists every
+record crash-safely; the trigger leg fires snapshots when the record
+stream crosses the cadence grid.
 
 Because the kernel's calendar holds live Python continuations, a
 snapshot does not pickle frames.  It records a **replay token**: the
@@ -22,9 +21,6 @@ fingerprints must equal the recorded ones (:class:`FingerprintMismatch`
 otherwise).  The final trace digest is computed from the spill
 segments, so a kill-resume run is byte-comparable to an uninterrupted
 one.
-
-For workloads built checkpoint-aware (true state restore, no replay),
-see :mod:`repro.ckpt.native`.
 """
 
 from __future__ import annotations
@@ -41,7 +37,8 @@ from repro.obs.stream import (
     TeeSink,
     tracer_from_segments,
 )
-from repro.obs.tracer import InMemorySink, tracing_hook
+from repro.obs.tracer import InMemorySink, enable_tracing
+from repro.simkernel import Environment
 
 from repro.ckpt.coordinator import (
     SnapshotTrigger,
@@ -113,20 +110,12 @@ def verdict_digest(report) -> str:
 def baseline_digest(bench_id: str, full: bool = False) -> str:
     """Digest of an uninterrupted, un-checkpointed run — the golden
     value kill/resume runs must reproduce byte-for-byte."""
-    from repro.report.scenarios import run_scenario
+    from repro.report import scenarios
 
-    state: dict = {}
-
-    def hook(env, sink):
-        state["env"] = env
-        return None  # keep the scenario's own sink
-
-    with tracing_hook(hook):
-        report = run_scenario(bench_id.upper(), full=full)
-    env = state.get("env")
-    if env is None:
-        return verdict_digest(report)
-    return trace_digest_from_tracer(env.tracer)
+    run = scenarios.execute(bench_id, "full" if full else "reduced")
+    if run.tracer is None:
+        return verdict_digest(scenarios.report(run))
+    return trace_digest_from_tracer(run.tracer)
 
 
 def run_checkpointed(
@@ -194,20 +183,46 @@ def resume(directory, extra_sinks: tuple = ()) -> CkptResult:
 def _execute(
     directory: str, manifest: dict, loaded: Optional[dict], extra_sinks: tuple
 ) -> CkptResult:
-    from repro.report.scenarios import run_scenario
+    from repro.report import scenarios
 
     bench = manifest["bench"]
+    scale = "full" if manifest["full"] else "reduced"
     cadence = float(manifest["cadence"])
     spill_dir = os.path.join(directory, SPILL_DIR)
-    resuming = loaded is not None or os.path.isdir(spill_dir)
     loaded_index = int(loaded["index"]) if loaded is not None else -1
 
-    state: dict = {"env": None, "spill": None, "trigger": None}
+    if not scenarios.get(bench).simulated:
+        # Untraced scenario (E8): nothing to snapshot or spill; the
+        # deterministic verdict document is the resumable artifact.
+        report = scenarios.report(scenarios.execute(bench, scale))
+        digest = verdict_digest(report)
+        final = dict(manifest)
+        final.update(
+            completed=True,
+            traced=False,
+            digest=digest,
+            snapshots=[],
+            verdict=report.to_verdict(),
+        )
+        write_manifest(directory, final)
+        return CkptResult(
+            bench_id=bench,
+            directory=directory,
+            digest=digest,
+            report=report,
+            resumed_from=loaded_index if loaded is not None else None,
+        )
+
+    env = Environment()
+    segment_records = int(manifest["segment_records"])
+    if loaded is not None or os.path.isdir(spill_dir):
+        spill = JsonlSpillSink.reopen(spill_dir, segment_records=segment_records)
+    else:
+        spill = JsonlSpillSink(spill_dir, segment_records=segment_records)
     written: list = []
     verified: list = []
 
     def on_trigger(index: int) -> None:
-        env, spill = state["env"], state["spill"]
         if index < loaded_index:
             return
         fingerprints = collect_fingerprints(env)
@@ -233,7 +248,7 @@ def _execute(
                 "kind": "scenario",
                 "bench": bench,
                 "index": index,
-                "sim_time": state["env"].now,
+                "sim_time": env.now,
                 "cadence": cadence,
                 "spill": spill.cursor(),
                 "fingerprints": fingerprints,
@@ -241,27 +256,10 @@ def _execute(
         )
         written.append(index)
 
-    def hook(env, sink):
-        if state["env"] is not None:
-            raise SnapshotError(
-                "scenario enabled tracing on a second environment; the "
-                "checkpoint runner supports exactly one traced env per run"
-            )
-        if resuming:
-            spill = JsonlSpillSink.reopen(
-                spill_dir, segment_records=int(manifest["segment_records"])
-            )
-        else:
-            spill = JsonlSpillSink(
-                spill_dir, segment_records=int(manifest["segment_records"])
-            )
-        trigger = SnapshotTrigger(cadence, on_trigger)
-        state["env"], state["spill"], state["trigger"] = env, spill, trigger
-        return TeeSink(InMemorySink(), spill, trigger, *extra_sinks)
-
+    trigger = SnapshotTrigger(cadence, on_trigger)
+    enable_tracing(env, sink=TeeSink(InMemorySink(), spill, trigger, *extra_sinks))
     try:
-        with tracing_hook(hook):
-            report = run_scenario(bench, full=bool(manifest["full"]))
+        report = scenarios.report(scenarios.execute(bench, scale, env=env))
     except (SnapshotError, SpillResumeMismatch):
         raise
     except Exception as exc:
@@ -274,30 +272,7 @@ def _execute(
             cause = cause.__cause__
         raise
 
-    env = state.get("env")
-    if env is None:
-        # Untraced scenario (E8): nothing to snapshot or spill; the
-        # deterministic verdict document is the resumable artifact.
-        digest = verdict_digest(report)
-        final = dict(manifest)
-        final.update(
-            completed=True,
-            traced=False,
-            digest=digest,
-            snapshots=[],
-            verdict=report.to_verdict(),
-        )
-        write_manifest(directory, final)
-        return CkptResult(
-            bench_id=bench,
-            directory=directory,
-            digest=digest,
-            report=report,
-            resumed_from=loaded_index if loaded is not None else None,
-        )
-
     env.tracer.close()
-    spill = state["spill"]
     if loaded is not None and not verified:
         raise FingerprintMismatch(
             f"resumed run never crossed snapshot index {loaded_index} "

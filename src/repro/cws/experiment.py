@@ -53,6 +53,24 @@ class StrategyRow:
         return 1.0 - self.makespan(strategy) / base if base else 0.0
 
 
+def start_workflow(
+    workflow: Workflow,
+    strategy: str,
+    env: Environment,
+    pools: Sequence = DEFAULT_POOLS,
+):
+    """Wire one workflow run under one strategy onto ``env``.
+
+    Returns the engine's run handle; the caller drives
+    ``env.run(until=run.done)`` and reads ``run.makespan``.
+    """
+    cluster = Cluster(env, pools=list(pools))
+    scheduler = KubeScheduler(env, cluster)
+    cwsi = CWSI(env, scheduler, strategy=strategy)
+    engine = NextflowLikeEngine(env, scheduler, cwsi=cwsi)
+    return engine.run(workflow)
+
+
 def run_workflow_once(
     workflow: Workflow,
     strategy: str,
@@ -67,11 +85,7 @@ def run_workflow_once(
     independent.
     """
     env = env if env is not None else Environment()
-    cluster = Cluster(env, pools=list(pools))
-    scheduler = KubeScheduler(env, cluster)
-    cwsi = CWSI(env, scheduler, strategy=strategy)
-    engine = NextflowLikeEngine(env, scheduler, cwsi=cwsi)
-    run = engine.run(workflow)
+    run = start_workflow(workflow, strategy, env, pools)
     env.run(until=run.done)
     if not run.succeeded:
         raise RuntimeError(f"{workflow.name} failed under {strategy}: {run.stats}")

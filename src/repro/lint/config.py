@@ -64,9 +64,6 @@ _DEFAULT_SCOPES: dict[str, dict[str, list[str]]] = {
         "include": ["src/repro/simkernel/*"],
         "exclude": ["src/repro/simkernel/queueing.py"],
     },
-    # The checkpoint-safety rule (no lambda/closure process payloads)
-    # polices the one subtree that promises factory re-entry resume.
-    "KER007": {"include": ["src/repro/ckpt/*"], "exclude": []},
     # stdout is the product for the report/viz CLI surfaces.
     "OBS002": {
         "include": ["src/repro/*"],

@@ -37,7 +37,6 @@ from repro.obs.tracer import (
     SpanSink,
     Tracer,
     enable_tracing,
-    tracing_hook,
 )
 from repro.obs.query import TraceQuery
 from repro.obs.export import (
@@ -105,7 +104,6 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
     "enable_tracing",
-    "tracing_hook",
     "TraceQuery",
     "to_chrome_trace",
     "to_jsonl",

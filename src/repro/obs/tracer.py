@@ -27,7 +27,6 @@ segmented JSONL files so million-span runs stay constant-memory.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Callable, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -355,16 +354,6 @@ class Tracer:
         else:
             self.sink.on_finish(span)
 
-    def restore_counters(self, next_id: int, n_instants: int = 0) -> None:
-        """Reset the id/instant counters to a checkpointed position.
-
-        Used by :mod:`repro.ckpt` native resume: a restored run must
-        hand out the *same* span ids the uninterrupted run would have,
-        or the resumed trace diverges byte-wise from the golden digest.
-        """
-        self._next_id = int(next_id)
-        self._n_instants = int(n_instants)
-
     def close(self) -> None:
         """Flush and close the sink (idempotent).
 
@@ -528,29 +517,6 @@ NULL_METRIC = _NullMetric()
 NULL_TRACER = NullTracer()
 
 
-#: Active :func:`tracing_hook` callbacks, fired by :func:`enable_tracing`.
-_TRACING_HOOKS: list = []
-
-
-@contextmanager
-def tracing_hook(hook):
-    """Intercept :func:`enable_tracing` calls made inside the block.
-
-    ``hook(env, sink)`` runs before the tracer is constructed and may
-    return a replacement :class:`SpanSink` (or ``None`` to keep the one
-    already chosen).  This is how the checkpoint runner wraps a
-    scenario's tracer in a spill + snapshot-trigger tee without the
-    scenario knowing — scenario builders keep their single plain
-    ``enable_tracing(env)`` call.  Hooks compose: each sees the sink the
-    previous one produced.
-    """
-    _TRACING_HOOKS.append(hook)
-    try:
-        yield hook
-    finally:
-        _TRACING_HOOKS.remove(hook)
-
-
 def enable_tracing(
     env, trace_kernel: bool = False, sink: Optional[SpanSink] = None
 ) -> Tracer:
@@ -558,13 +524,8 @@ def enable_tracing(
 
     Returns the tracer; it is also reachable as ``env.tracer`` from
     every component holding the environment.  ``sink`` overrides the
-    default in-memory span storage (see :class:`SpanSink`), and any
-    active :func:`tracing_hook` may override it again.
+    default in-memory span storage (see :class:`SpanSink`).
     """
-    for hook in list(_TRACING_HOOKS):
-        replacement = hook(env, sink)
-        if replacement is not None:
-            sink = replacement
     tracer = Tracer(clock=lambda: env.now, trace_kernel=trace_kernel, sink=sink)
     env.tracer = tracer
     return tracer

@@ -1,6 +1,6 @@
 """CLI for the simsan batch-permutation checker.
 
-Usage (from the repo root)::
+Usage (from any working directory)::
 
     PYTHONPATH=src python -m repro.sanitizer                     # all of E1-E8
     PYTHONPATH=src python -m repro.sanitizer --only E2,E5        # a subset
@@ -17,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.report.scenarios import SCENARIOS
 from repro.sanitizer.permute import MODES, run_check
 
 
@@ -27,7 +28,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--only",
-        help="comma-separated bench ids (default: every golden scenario)",
+        help="comma-separated bench ids (default: E1-E8)",
     )
     parser.add_argument(
         "--modes",
@@ -38,21 +39,16 @@ def main(argv=None) -> int:
         "--seed", type=int, default=1, help="shuffle seed (default: 1)"
     )
     parser.add_argument(
-        "--traces",
-        type=Path,
-        default=Path("tests/golden/traces.py"),
-        help="path to the golden trace builders",
-    )
-    parser.add_argument(
         "--out", type=Path, help="also write the JSON report to this path"
     )
     args = parser.parse_args(argv)
 
-    if not args.traces.exists():
-        print(f"error: no golden builders at {args.traces} (run from the repo root)",
-              file=sys.stderr)
+    only = [b.strip().upper() for b in args.only.split(",")] if args.only else None
+    unknown = sorted(set(only or ()) - set(SCENARIOS))
+    if unknown:
+        print(f"error: unknown bench id(s) {', '.join(unknown)} "
+              f"(choose from {', '.join(sorted(SCENARIOS))})", file=sys.stderr)
         return 2
-    only = [b.strip() for b in args.only.split(",")] if args.only else None
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in modes:
         if mode not in MODES:
@@ -60,13 +56,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    report = run_check(
-        args.traces,
-        only=only,
-        modes=modes,
-        seed=args.seed,
-        digests_path=args.traces.parent / "trace_digests.json",
-    )
+    report = run_check(only=only, modes=modes, seed=args.seed)
 
     for res in report["results"]:
         status = "ok  " if res["passed"] else "FAIL"
@@ -80,9 +70,6 @@ def main(argv=None) -> int:
                 print(f"     {line}")
         for race in res["races"]:
             print(f"     race: {json.dumps(race, sort_keys=True)}")
-    for bench_id in report["baseline_drift"]:
-        print(f"WARN {bench_id}: unpermuted baseline drifted from the pinned "
-              "golden digest (fix the golden suite first)")
 
     if args.out:
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

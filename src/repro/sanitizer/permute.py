@@ -4,11 +4,12 @@ The calendar-queue kernel dispatches every event scheduled at the same
 simulated instant as one batch, in insertion order.  Correct models
 must not depend on that order: two events at the same instant have no
 causal edge between them, so any batch permutation must produce the
-same simulation.  This module re-runs the reduced-scale golden
-scenarios with every same-instant batch reversed or deterministically
-shuffled (:class:`repro.sanitizer.core.Sanitizer`'s ``permute`` mode)
-and compares the exported traces against an unpermuted baseline built
-in the same process.
+same simulation.  This module re-runs the registry's E1–E8 scenarios
+(:mod:`repro.report.scenarios`) at their golden scale with every
+same-instant batch reversed or deterministically shuffled
+(:class:`repro.sanitizer.core.Sanitizer`'s ``permute`` mode) and
+compares the exported traces against an unpermuted baseline built in
+the same process.
 
 Permuting a batch legitimately moves two things that are *not*
 simulation state: the order trace spans are opened (span ids are
@@ -38,16 +39,13 @@ Only ``divergent`` fails the check.
 
 from __future__ import annotations
 
-import hashlib
-import importlib.util
 import json
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from repro.obs.tracer import tracing_hook
+from repro.obs import enable_tracing
 from repro.sanitizer.core import enable_sanitizer
+from repro.simkernel import Environment
 
 #: Permutation modes exercised by default.
 MODES = ("reverse", "shuffle")
@@ -92,29 +90,6 @@ class PermutationResult:
             "batches": self.batches,
             "units": self.units,
         }
-
-
-def load_build_traces(traces_path: Path | str) -> Callable:
-    """Import ``build_traces`` from the golden suite by file path.
-
-    The builders live under ``tests/`` (they are test fixtures, not
-    library code), so they are loaded explicitly rather than imported —
-    ``python -m repro.sanitizer`` must work with only ``src`` on the
-    path.
-    """
-    traces_path = Path(traces_path)
-    repo_root = traces_path.resolve().parents[2]
-    if str(repo_root) not in sys.path:
-        # traces.py does ``from repro.obs import ...`` style imports
-        # plus nothing test-local, but regen.py precedent: make the
-        # repo root importable so sibling fixtures resolve.
-        sys.path.insert(0, str(repo_root))
-    spec = importlib.util.spec_from_file_location("_golden_traces", traces_path)
-    if spec is None or spec.loader is None:
-        raise FileNotFoundError(f"cannot load golden builders from {traces_path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.build_traces
 
 
 # -- canonicalization ----------------------------------------------------------
@@ -220,86 +195,66 @@ def classify(base_text: str, perm_text: str) -> tuple[str, str]:
 # -- the check -----------------------------------------------------------------
 
 
+def _golden_text(bench_id: str, permute: Optional[str] = None, seed: int = 1):
+    """Run ``bench_id`` at golden scale; returns its canonical text and,
+    when permuted, the sanitizer that drove the run."""
+    from repro.report.scenarios import execute, get, trace_text
+
+    env = sanitizer = None
+    if permute is not None and get(bench_id).simulated:
+        env = Environment()
+        enable_tracing(env)
+        sanitizer = enable_sanitizer(env, permute=permute, seed=seed)
+    return trace_text(execute(bench_id, "golden", env=env)), sanitizer
+
+
 def check_scenario(
-    build_traces: Callable,
-    bench_id: str,
-    modes: Iterable[str] = MODES,
-    seed: int = 1,
+    bench_id: str, modes: Iterable[str] = MODES, seed: int = 1
 ) -> list[PermutationResult]:
     """Run one scenario unpermuted, then once per permutation mode."""
-    base = build_traces(only=[bench_id])[bench_id]
+    base, _ = _golden_text(bench_id)
     results = []
     for mode in modes:
-        envs: list = []
-
-        def hook(env, sink, _mode=mode):
-            envs.append(env)
-            enable_sanitizer(env, permute=_mode, seed=seed)
-
-        with tracing_hook(hook):
-            perm = build_traces(only=[bench_id])[bench_id]
+        perm, sanitizer = _golden_text(bench_id, permute=mode, seed=seed)
         verdict, detail = classify(base, perm)
-        races: list = []
-        order_warnings: list = []
-        batches = units = 0
-        for env in envs:
-            report = env._sanitizer.report()
-            races.extend(report["races"])
-            order_warnings.extend(report["order_warnings"])
-            batches += report["batches"]
-            units += report["units"]
+        report = (
+            sanitizer.report()
+            if sanitizer is not None
+            else {"races": [], "order_warnings": [], "batches": 0, "units": 0}
+        )
         results.append(
             PermutationResult(
                 bench_id=bench_id,
                 mode=mode,
                 verdict=verdict,
                 detail=detail,
-                races=races,
-                order_warnings=order_warnings,
-                batches=batches,
-                units=units,
+                races=list(report["races"]),
+                order_warnings=list(report["order_warnings"]),
+                batches=report["batches"],
+                units=report["units"],
             )
         )
     return results
 
 
 def run_check(
-    traces_path: Path,
     only: Optional[Iterable[str]] = None,
     modes: Iterable[str] = MODES,
     seed: int = 1,
-    digests_path: Optional[Path] = None,
 ) -> dict:
     """Run the permutation check; returns the SIMSAN report document."""
-    build_traces = load_build_traces(traces_path)
-    bench_ids = sorted(only) if only else sorted(
-        build_traces.__globals__["BUILDERS"]
-    )
+    from repro.report.scenarios import SCENARIOS
+
+    bench_ids = sorted(only) if only else sorted(SCENARIOS)
     results: list[PermutationResult] = []
-    drift: list[str] = []
-    pinned = (
-        json.loads(digests_path.read_text())
-        if digests_path is not None and digests_path.exists()
-        else {}
-    )
     for bench_id in bench_ids:
-        scenario_results = check_scenario(build_traces, bench_id, modes, seed)
-        results.extend(scenario_results)
-        if bench_id in pinned:
-            # Drift of the *unpermuted* baseline against the pinned
-            # digest is a different failure (the golden suite's), but
-            # worth flagging here: it means this check compared against
-            # a moved target.
-            base = build_traces(only=[bench_id])[bench_id]
-            if hashlib.sha256(base.encode()).hexdigest() != pinned[bench_id]["sha256"]:
-                drift.append(bench_id)
+        results.extend(check_scenario(bench_id, modes, seed))
     return {
         "tool": "simsan-permute",
         "seed": seed,
         "modes": list(modes),
         "results": [r.to_json() for r in results],
-        "baseline_drift": drift,
-        "passed": all(r.passed for r in results) and not drift,
+        "passed": all(r.passed for r in results),
     }
 
 
@@ -309,6 +264,5 @@ __all__ = [
     "PermutationResult",
     "check_scenario",
     "classify",
-    "load_build_traces",
     "run_check",
 ]

@@ -207,67 +207,6 @@ class Environment:
                 self._bcache_t = None
             batch.clear()
 
-    def schedule_at(self, event: Event, t: float, priority: int = NORMAL) -> None:
-        """Queue ``event`` at the *exact* absolute instant ``t``.
-
-        ``schedule(event, delay=t - now)`` is not the same thing: float
-        round-trips (``now + (t - now)``) can land one ulp off ``t``,
-        which splits a bucket and reorders same-instant dispatch — fatal
-        for checkpoint/resume, where a restored run must re-arm events
-        at bit-identical timestamps.  This entry point skips the
-        addition entirely.
-        """
-        t = float(t)
-        if t < self._now:
-            raise ValueError(f"schedule_at t={t} is in the past (now={self._now})")
-        if priority:  # NORMAL
-            if t == self._bcache_t:
-                self._bcache.append(event)
-                return
-            buckets = self._buckets
-            bucket = buckets.get(t)
-            if bucket is None:
-                if t not in self._urgent:
-                    heap_push(self._times, t)
-                buckets[t] = bucket = [event]
-            else:
-                bucket.append(event)
-            self._bcache_t = t
-            self._bcache = bucket
-            return
-        urgent = self._urgent
-        bucket = urgent.get(t)
-        if bucket is None:
-            if t not in self._buckets:
-                heap_push(self._times, t)
-            urgent[t] = [event]
-        else:
-            bucket.append(event)
-        batch = self._batch
-        if batch and not self._batch_urgent and t == self._batch_t:
-            rest = batch[len(batch) - self._batch_it.__length_hint__():]
-            if rest:
-                self._dispatched -= len(rest)
-                calendar_reinsert(
-                    self._buckets, self._urgent, self._times, t, rest
-                )
-                self._bcache_t = None
-            batch.clear()
-
-    def timeout_at(self, t: float, value: Any = None) -> Event:
-        """An event triggering at the exact absolute instant ``t``.
-
-        The absolute-time counterpart of ``env.timeout(delay)`` (see
-        :meth:`schedule_at` for why the delta form cannot be exact).
-        Checkpoint-safe processes wait on an absolute grid so a resumed
-        run re-arms bit-identical instants.
-        """
-        ev = Event(self)
-        ev._ok = True
-        ev._value = value
-        self.schedule_at(ev, t)
-        return ev
-
     def ckpt_fingerprint(self) -> dict:
         """A JSON-able digest of the kernel's semantic queue state.
 

@@ -1,6 +1,6 @@
-"""Golden determinism regression: reduced-scale E1–E8 traces, byte-pinned.
+"""Golden determinism regression: golden-scale E1–E8 traces, byte-pinned.
 
-Every builder in :mod:`tests.golden.traces` exports a JSONL trace (E8: a
+Every registry scenario at its golden scale exports a JSONL trace (E8: a
 canonical JSON headline) whose SHA-256 digest is pinned in
 ``trace_digests.json``.  The digests were captured from the seed
 implementation *before* the scheduling/primitive optimizations landed —
@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from tests.golden.traces import BUILDERS, build_traces
+from repro.report.scenarios import SCENARIOS
+from tests.golden.traces import build_traces
 
 PINNED = json.loads(
     (Path(__file__).parent / "trace_digests.json").read_text()
@@ -26,10 +27,10 @@ PINNED = json.loads(
 
 
 def test_pinned_set_matches_builders():
-    assert set(PINNED) == set(BUILDERS)
+    assert set(PINNED) == set(SCENARIOS)
 
 
-@pytest.mark.parametrize("bench_id", sorted(BUILDERS))
+@pytest.mark.parametrize("bench_id", sorted(SCENARIOS))
 def test_trace_digest(bench_id):
     text = build_traces(only={bench_id})[bench_id]
     digest = hashlib.sha256(text.encode()).hexdigest()

@@ -1,12 +1,14 @@
-"""Reduced-scale E1–E8 trace builders for the golden determinism suite.
+"""Golden-scale E1–E8 traces for the determinism suite.
 
-Each builder runs one paper scenario at a scale that finishes in well
-under a second, with tracing enabled, and returns the exported JSONL
-text.  The golden test hashes these strings against the digests pinned
-in ``trace_digests.json`` — any refactor that changes a grant order, a
+Each scenario of the registry (:mod:`repro.report.scenarios`) runs at
+its ``golden`` scale, traced, and yields its canonical text
+(:func:`~repro.report.scenarios.trace_text`): the JSONL trace with
+metrics, or for E8, which has no discrete-event trace (the LLM loop is
+synchronous), the canonical JSON of its pipeline outcome.  The golden
+test hashes these strings against the digests pinned in
+``trace_digests.json`` — any refactor that changes a grant order, a
 simulated timestamp, or an exported field flips a digest and fails the
-suite.  E8 has no discrete-event trace (the LLM loop is synchronous),
-so its "trace" is the canonical JSON of the run's headline numbers.
+suite.
 
 Regenerate the pinned digests (ONLY after an intentional behaviour
 change) with::
@@ -16,177 +18,22 @@ change) with::
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from repro.obs import enable_tracing, to_jsonl
-from repro.simkernel import Environment
-
-
-def _e1_jsonl() -> str:
-    from repro.cws.experiment import run_workflow_once
-    from repro.workloads import workflow_mix
-
-    env = Environment()
-    tracer = enable_tracing(env)
-    mix = workflow_mix(seed=0)
-    wf = max(mix, key=lambda w: len(w.graph))
-    run_workflow_once(wf, "rank", env=env)
-    return to_jsonl(tracer, include_metrics=True)
-
-
-def _entk_jsonl(n_tasks, nodes, agent=None, extra_tasks=(), fault_at=None) -> str:
-    from repro.report.scenarios import _stage3_run
-
-    _, tracer = _stage3_run(
-        n_tasks, nodes, agent=agent, extra_tasks=extra_tasks, fault_at=fault_at
-    )
-    return to_jsonl(tracer, include_metrics=True)
-
-
-def _e2_jsonl() -> str:
-    return _entk_jsonl(n_tasks=120, nodes=120)
-
-
-def _e3_jsonl() -> str:
-    return _entk_jsonl(n_tasks=160, nodes=80)
-
-
-def _e4_jsonl() -> str:
-    from repro.entk import AgentConfig, EnTask
-
-    def diverging(name, duration):
-        def work(env, task, nodes):
-            yield env.timeout(duration * 0.95)
-            raise RuntimeError("time step too large")
-
-        return EnTask(
-            work=work, nodes=8, cores_per_node=56, gpus_per_node=8, name=name
-        )
-
-    agent = AgentConfig(node_strikes=8, fail_detect_s=15.0, max_task_retries=2)
-    return _entk_jsonl(
-        n_tasks=100,
-        nodes=104,
-        agent=agent,
-        extra_tasks=[diverging("diverge-0", 900.0)],
-        fault_at=2000.0,
-    )
-
-
-def _e5_jsonl() -> str:
-    from repro.atlas import run_experiment
-
-    env = Environment()
-    tracer = enable_tracing(env)
-    run_experiment("cloud", n_files=8, seed=0, max_instances=4, env=env)
-    return to_jsonl(tracer, include_metrics=True)
-
-
-def _e6_jsonl() -> str:
-    from repro.atlas import run_experiment
-
-    env = Environment()
-    tracer = enable_tracing(env)
-    run_experiment("hpc", n_files=8, seed=0, slots=4, env=env)
-    return to_jsonl(tracer, include_metrics=True)
-
-
-def _e7_jsonl() -> str:
-    from repro.cluster import Cluster, NodeSpec
-    from repro.jaws import (
-        CromwellEngine,
-        EngineOptions,
-        fuse_linear_chains,
-        parse_wdl,
-    )
-    from repro.rm import BatchScheduler
-
-    names = ", ".join(f'"s{i}.fq"' for i in range(4))
-    wdl = f"""
-    version 1.0
-    task qc {{
-        input {{ File reads }}
-        command <<< run_qc >>>
-        output {{ File cleaned = "cleaned.fq" }}
-        runtime {{ cpu: 2, runtime_minutes: 1, docker: "jgi/qc@sha256:aa" }}
-    }}
-    task align {{
-        input {{ File cleaned }}
-        command <<< run_align >>>
-        output {{ File bam = "out.bam" }}
-        runtime {{ cpu: 4, runtime_minutes: 2, docker: "jgi/align@sha256:bb" }}
-    }}
-    workflow sample_qc {{
-        input {{ Array[File] samples = [{names}] }}
-        scatter (s in samples) {{
-            call qc {{ input: reads = s }}
-            call align {{ input: cleaned = qc.cleaned }}
-        }}
-    }}
-    """
-    fused_doc, _ = fuse_linear_chains(parse_wdl(wdl))
-    env = Environment()
-    tracer = enable_tracing(env)
-    cluster = Cluster(env, pools=[(NodeSpec("c", cores=16, memory_gb=128), 16)])
-    options = EngineOptions(container_start_s=45.0, stage_overhead_s=420.0)
-    engine = CromwellEngine(env, BatchScheduler(env, cluster), options)
-    result = engine.run(fused_doc)
-    env.run(until=result.done)
-    assert result.succeeded, result.error
-    return to_jsonl(tracer, include_metrics=True)
-
-
-def _e8_json() -> str:
-    from repro.llm import (
-        ChatWorkflowDriver,
-        MockFunctionCallingLLM,
-        PhyloflowAdapters,
-        make_synthetic_vcf,
-    )
-
-    vcf = make_synthetic_vcf(n_mutations=60, n_clones=3, depth=500, seed=11)
-    adapters = PhyloflowAdapters(files={"tumor.vcf": vcf})
-    driver = ChatWorkflowDriver(MockFunctionCallingLLM(), adapters)
-    result = driver.run(
-        "Run the full phyloflow pipeline on tumor.vcf: transform the VCF, "
-        "cluster the mutations into 3 clusters, and build the phylogeny."
-    )
-    tree = driver.final_value(result)
-    doc = {
-        "calls_made": result.calls_made(),
-        "api_calls": result.api_calls,
-        "n_clones": tree["n_clones"],
-        "confidence": round(float(tree["confidence"]), 12),
-        "edges": sorted(map(list, tree["edges"])),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-BUILDERS = {
-    "E1": _e1_jsonl,
-    "E2": _e2_jsonl,
-    "E3": _e3_jsonl,
-    "E4": _e4_jsonl,
-    "E5": _e5_jsonl,
-    "E6": _e6_jsonl,
-    "E7": _e7_jsonl,
-    "E8": _e8_json,
-}
+from repro.report.scenarios import SCENARIOS, execute, trace_text
 
 
 def build_traces(only=None) -> dict[str, str]:
-    """Build every reduced-scale trace; returns ``{bench_id: text}``."""
-    # numpy global state hygiene: builders use explicit Generators, but
+    """Build every golden-scale trace; returns ``{bench_id: text}``."""
+    # numpy global state hygiene: scenarios use explicit Generators, but
     # reset the legacy global RNG anyway so an accidental np.random.*
-    # call inside a scenario cannot couple builders to each other.
+    # call inside a scenario cannot couple scenarios to each other.
     np.random.seed(0)
     return {
-        bench_id: fn()
-        for bench_id, fn in BUILDERS.items()
+        bench_id: trace_text(execute(bench_id, "golden"))
+        for bench_id in SCENARIOS
         if only is None or bench_id in only
     }
 
 
-__all__ = ["BUILDERS", "build_traces"]
+__all__ = ["build_traces"]

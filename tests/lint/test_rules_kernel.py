@@ -289,68 +289,3 @@ class TestKER006FixedIntervalPoll:
         """
         for relpath in ("tests/test_load.py", "benchmarks/perf/harness.py"):
             assert check(src, rule="KER006", relpath=relpath) == []
-
-
-class TestKER007UnresumablePayload:
-    def test_fires_on_lambda_payload(self, check):
-        src = """
-            def launch(env):
-                env.process(lambda: None)
-        """
-        assert (
-            len(check(src, rule="KER007", relpath="src/repro/ckpt/mod.py")) == 1
-        )
-
-    def test_fires_on_genexp_payload(self, check):
-        src = """
-            def launch(env, items):
-                env.process(env.timeout(t) for t in items)
-        """
-        assert (
-            len(check(src, rule="KER007", relpath="src/repro/ckpt/mod.py")) == 1
-        )
-
-    def test_fires_on_closure_payload(self, check):
-        src = """
-            def launch(env, items):
-                def worker():
-                    yield env.timeout(1)
-                env.process(worker())
-        """
-        findings = check(src, rule="KER007", relpath="src/repro/ckpt/mod.py")
-        assert len(findings) == 1
-        assert "closure" in findings[0].message
-
-    def test_silent_on_module_level_factory(self, check):
-        src = """
-            def worker_body(env, ctx, state):
-                yield env.timeout_at(state["t_next"])
-
-            def launch(env, ctx, state):
-                env.process(worker_body(env, ctx, state))
-        """
-        assert check(src, rule="KER007", relpath="src/repro/ckpt/mod.py") == []
-
-    def test_silent_on_method_payload(self, check):
-        # Bound-method payloads (coordinator loops) re-derive their
-        # position from constructor arguments, not closed-over frames.
-        src = """
-            class Coordinator:
-                def start(self, env, index):
-                    env.process(self._run(index))
-
-                def _run(self, index):
-                    yield None
-        """
-        assert check(src, rule="KER007", relpath="src/repro/ckpt/mod.py") == []
-
-    def test_scoped_to_ckpt_subtree(self, check):
-        # Outside src/repro/ckpt/* closures are business as usual.
-        src = """
-            def launch(env):
-                def worker():
-                    yield env.timeout(1)
-                env.process(worker())
-        """
-        assert check(src, rule="KER007") == []
-        assert check(src, rule="KER007", relpath="tests/test_x.py") == []

@@ -1,6 +1,9 @@
 """Tests for :mod:`repro.report`: report assembly, verdict files, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,7 @@ from repro.obs.alerts import Rule
 from repro.obs.export import write_jsonl
 from repro.report import VERDICT_VERSION, RunReport, build_report, write_verdict
 from repro.report.__main__ import main
-from repro.report.scenarios import SCENARIOS
+from repro.report.scenarios import SCALES, SCENARIOS
 
 from tests.obs.minirun import mini_entk_run
 
@@ -205,3 +208,26 @@ class TestScenarioRegistry:
 
     def test_scenarios_carry_titles(self):
         assert all(s.title for s in SCENARIOS.values())
+
+    def test_every_scenario_defines_every_scale(self):
+        for scenario in SCENARIOS.values():
+            assert set(scenario.scales) == set(SCALES), scenario.bench_id
+
+    def test_import_loads_no_workflow_system(self):
+        # The registry is imported during set-up by report and benchmark
+        # paths that run a single scenario; each build imports only the
+        # system it drives.
+        code = (
+            "import sys, repro.report.scenarios\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "[['repro', p] for p in "
+            "('atlas', 'jaws', 'llm', 'cws', 'entk', 'exaam', 'ckpt')]))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        ).stdout
+        assert out.strip() == "[]"

@@ -8,7 +8,7 @@ import pytest
 
 from repro.sanitizer import WatchedDict, enable_sanitizer, disable_sanitizer
 from repro.sanitizer import hooks
-from repro.sanitizer.permute import classify
+from repro.sanitizer.permute import MODES, PASSING, check_scenario, classify
 from repro.simkernel import Environment
 
 from tests.sanitizer import fixture_race
@@ -209,6 +209,21 @@ class TestPermutationSemantics:
         assert verdict == "divergent"
         assert "first divergent event" in detail
         assert "decision" in detail  # names the span that moved
+
+
+class TestRegistryPermutation:
+    def test_e2_passes_reverse_and_shuffle(self):
+        # The checker drives the registry's golden-scale E2: both
+        # permutation modes run, dispatch real batches, and converge.
+        results = check_scenario("E2", modes=MODES)
+        assert [r.mode for r in results] == ["reverse", "shuffle"]
+        for res in results:
+            assert res.verdict in PASSING, res.detail
+            assert res.passed and not res.races
+            assert res.batches > 0 and res.units > 0
+        # Reversing and shuffling regroup same-instant work differently;
+        # two unpermuted runs would count identical batches.
+        assert results[0].batches != results[1].batches
 
 
 class TestClassify:
