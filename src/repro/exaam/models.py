@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 
 # -- Stage 1a: melt pool (AdditiveFOAM surrogate) ---------------------------------
@@ -282,6 +281,8 @@ def fit_material_model(curves: list) -> dict:
 
     def ludwik(eps, sigma0, big_k, n):
         return sigma0 + big_k * eps**n
+
+    from scipy import optimize
 
     p0 = (float(stress.min()), float(np.ptp(stress) + 1.0), 0.5)
     params, _ = optimize.curve_fit(

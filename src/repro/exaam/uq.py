@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.exaam.models import rosenthal_meltpool
 
@@ -140,6 +139,8 @@ def calibrate_absorptivity(
 
     def loss(eta: float) -> float:
         return float(np.mean((predicted(eta) / measured - 1.0) ** 2))
+
+    from scipy import optimize
 
     result = optimize.minimize_scalar(loss, bounds=bounds, method="bounded")
     eta = float(result.x)

@@ -40,6 +40,7 @@ from repro.obs.tracer import (
 )
 from repro.obs.query import TraceQuery
 from repro.obs.export import (
+    TraceFormatError,
     read_jsonl,
     to_chrome_trace,
     to_jsonl,
@@ -108,6 +109,7 @@ __all__ = [
     "to_chrome_trace",
     "to_jsonl",
     "tracer_from_jsonl",
+    "TraceFormatError",
     "read_jsonl",
     "write_chrome_trace",
     "write_jsonl",

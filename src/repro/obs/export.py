@@ -14,6 +14,7 @@ sequence, and gauges/counters become ``C`` counter tracks.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Optional
 
 from repro.obs.tracer import Span, Tracer
@@ -227,8 +228,9 @@ def write_chrome_trace(
         )
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: Canonical one-line JSON for trace records.  One encoder, built once:
+#: ``json.dumps`` with these options builds a fresh encoder per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def span_record(span) -> dict:
@@ -293,6 +295,89 @@ def write_jsonl(tracer: Tracer, path, include_metrics: bool = True) -> None:
 # -- loading ---------------------------------------------------------------------
 
 
+class TraceFormatError(ValueError):
+    """A JSONL trace line that is not a valid trace record.
+
+    ``line`` is the 1-based line number; ``field`` names the offending
+    record field when one can be blamed (``None`` otherwise, e.g. for a
+    line that is not JSON at all).
+    """
+
+    def __init__(self, line: int, message: str, field: Optional[str] = None):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+        self.field = field
+
+
+#: What converting a malformed record can raise; the loaders turn each
+#: into a :class:`TraceFormatError` for the record's line.
+_RECORD_ERRORS = (
+    AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError,
+)
+
+
+def _record_error(line: int, record, exc: Exception) -> TraceFormatError:
+    """Explain why converting ``record`` raised ``exc``.
+
+    Runs only after a conversion failed, so the load loops carry no
+    per-field checks: a missing field, a non-integer span id, a
+    non-numeric time or a non-string name is found here, after the
+    fact, and anything else is reported with the underlying error.
+    """
+    if not isinstance(record, dict):
+        return TraceFormatError(
+            line, f"expected a JSON object, got {type(record).__name__}"
+        )
+    if isinstance(exc, KeyError) and exc.args and exc.args[0] not in record:
+        return TraceFormatError(line, f"missing field {exc.args[0]!r}", exc.args[0])
+    kind = record.get("type")
+    if kind == "span" and "id" in record and not isinstance(record["id"], int):
+        return TraceFormatError(
+            line, f"field 'id' is not an integer: {record['id']!r}", "id"
+        )
+    for field in ("t0", "t1", "t"):
+        value = record.get(field)
+        if field not in record or (value is None and field == "t1"):
+            continue
+        try:
+            float(value)
+        except (TypeError, ValueError, OverflowError):
+            return TraceFormatError(
+                line, f"field {field!r} is not a number: {value!r}", field
+            )
+    for field in ("name", "cat", "comp"):
+        if field in record and not isinstance(record[field], str):
+            return TraceFormatError(
+                line, f"field {field!r} is not a string: {record[field]!r}", field
+            )
+    return TraceFormatError(line, f"malformed {kind} record: {exc!r}")
+
+
+def _parse_line(line: int, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(line, f"invalid JSON: {exc}") from exc
+
+
+def _span_from_record(tracer: Tracer, record: dict) -> Span:
+    span = Span(
+        tracer,
+        span_id=operator.index(record["id"]),
+        name=record["name"],
+        category=record.get("cat", ""),
+        component=record.get("comp", ""),
+        tags=record.get("tags"),
+        start=record["t0"],
+        parent_id=record.get("parent"),
+    )
+    if record.get("t1") is not None:
+        span.end = float(record["t1"])
+    for t, name, attrs in record.get("events", ()):
+        span.events.append((float(t), name, dict(attrs)))
+    return span
+
+
 def tracer_from_jsonl(text: str) -> Tracer:
     """Reconstruct a :class:`Tracer` from :func:`to_jsonl` output.
 
@@ -300,57 +385,49 @@ def tracer_from_jsonl(text: str) -> Tracer:
     ``to_jsonl(tracer_from_jsonl(to_jsonl(t))) == to_jsonl(t)``.  The
     returned tracer's clock reads the latest recorded timestamp, so
     post-hoc recording (e.g. alert spans) stays inside simulated time.
+    A line that is not a valid record raises :class:`TraceFormatError`.
     """
     latest = [0.0]
     tracer = Tracer(clock=lambda: latest[0])
-    span_records = []
+    spans: list[Span] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
+        record = _parse_line(lineno, line)
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno} is not valid JSON: {exc}") from exc
-        kind = record.get("type")
-        if kind == "span":
-            span_records.append(record)
-        elif kind == "instant":
-            tracer.instant(
-                record["name"],
-                category=record.get("cat", ""),
-                component=record.get("comp", ""),
-                tags=record.get("tags"),
-                t=record["t"],
-            )
-            latest[0] = max(latest[0], record["t"])
-        elif kind == "metric":
-            tracer.metrics.register(
-                metric_from_record(record), component=record.get("comp", "")
-            )
-        else:
-            raise ValueError(f"line {lineno}: unknown record type {kind!r}")
+            kind = record.get("type")
+            if kind == "span":
+                spans.append(_span_from_record(tracer, record))
+            elif kind == "instant":
+                inst = tracer.instant(
+                    record["name"],
+                    category=record.get("cat", ""),
+                    component=record.get("comp", ""),
+                    tags=record.get("tags"),
+                    t=float(record["t"]),
+                )
+                latest[0] = max(latest[0], inst.t)
+            elif kind == "metric":
+                tracer.metrics.register(
+                    metric_from_record(record), component=record.get("comp", "")
+                )
+            else:
+                raise TraceFormatError(
+                    lineno, f"unknown record type {kind!r}", "type"
+                )
+        except TraceFormatError:
+            raise
+        except _RECORD_ERRORS as exc:
+            raise _record_error(lineno, record, exc) from exc
 
-    # Spans are exported in id order; rebuild them directly so ids,
+    # Spans are exported in id order; adopt them in that order so ids,
     # parents and open/closed state survive the round trip.
-    for record in sorted(span_records, key=lambda r: r["id"]):
-        span = Span(
-            tracer,
-            span_id=record["id"],
-            name=record["name"],
-            category=record.get("cat", ""),
-            component=record.get("comp", ""),
-            tags=record.get("tags"),
-            start=record["t0"],
-            parent_id=record.get("parent"),
-        )
-        if record.get("t1") is not None:
-            span.end = float(record["t1"])
+    spans.sort(key=lambda span: span.span_id)
+    for span in spans:
+        latest[0] = max(latest[0], span.start, *(t for t, _, _ in span.events))
+        if span.end is not None:
             latest[0] = max(latest[0], span.end)
-        latest[0] = max(latest[0], span.start)
-        for t, name, attrs in record.get("events", ()):
-            span.events.append((float(t), name, dict(attrs)))
-            latest[0] = max(latest[0], float(t))
         tracer._adopt(span)
     return tracer
 
@@ -359,18 +436,22 @@ def metric_from_record(record: dict):
     """Rebuild a metric object from a :func:`metric_record` dict."""
     from repro.obs.metrics import Counter, Gauge, UtilizationTracker
 
+    # The registry sorts metrics by (component, name) on export.
+    name, component = record["name"], record.get("comp", "")
+    if not (isinstance(name, str) and isinstance(component, str)):
+        raise TypeError("metric name and component must be strings")
     kind = record.get("kind")
     times = [float(t) for t in record.get("times", [0.0])]
     values = [float(v) for v in record.get("values", [0.0])]
     if kind == "utilization":
         metric = UtilizationTracker(
-            capacity=record["capacity"], name=record["name"], t0=times[0]
+            capacity=record["capacity"], name=name, t0=times[0]
         )
         metric.busy.times = times
         metric.busy.values = values
     elif kind in ("gauge", "counter"):
         cls = Counter if kind == "counter" else Gauge
-        metric = cls(name=record["name"], t0=times[0], initial=values[0])
+        metric = cls(name=name, t0=times[0], initial=values[0])
         metric.times = times
         metric.values = values
     else:

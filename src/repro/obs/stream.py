@@ -38,13 +38,24 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import operator
 import os
 import re
 import sys
 import warnings
 from typing import Iterable, Optional
 
-from repro.obs.export import _dumps, instant_record, metric_record, span_record
+from repro.obs.export import (
+    _RECORD_ERRORS,
+    TraceFormatError,
+    _dumps,
+    _parse_line,
+    _record_error,
+    instant_record,
+    metric_from_record,
+    metric_record,
+    span_record,
+)
 from repro.obs.metrics import MetricsRegistry, P2Quantile, RunningStats
 from repro.obs.tracer import SpanSink, Tracer
 
@@ -129,7 +140,7 @@ class SpanStub:
         """Build from one :func:`~repro.obs.export.span_record` dict."""
         end = record.get("t1")
         return cls(
-            span_id=record["id"],
+            span_id=operator.index(record["id"]),
             parent_id=record.get("parent"),
             name=record["name"],
             category=record.get("cat", ""),
@@ -194,31 +205,32 @@ class StubTrace:
         Accepts any iterable of lines (an open file streams without
         materializing the text); span records compact to stubs, metric
         records land in the registry, instants are skipped (no report
-        analysis reads them).
+        analysis reads them).  A line that is not a valid record raises
+        :class:`~repro.obs.export.TraceFormatError`.
         """
-        from repro.obs.export import metric_from_record
-
         trace = cls()
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
+            record = _parse_line(lineno, line)
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"line {lineno} is not valid JSON: {exc}"
-                ) from exc
-            kind = record.get("type")
-            if kind == "span":
-                trace.spans.append(SpanStub.from_record(record))
-            elif kind == "metric":
-                trace.metrics.register(
-                    metric_from_record(record),
-                    component=record.get("comp", ""),
-                )
-            elif kind != "instant":
-                raise ValueError(f"line {lineno}: unknown record type {kind!r}")
+                kind = record.get("type")
+                if kind == "span":
+                    trace.spans.append(SpanStub.from_record(record))
+                elif kind == "metric":
+                    trace.metrics.register(
+                        metric_from_record(record),
+                        component=record.get("comp", ""),
+                    )
+                elif kind != "instant":
+                    raise TraceFormatError(
+                        lineno, f"unknown record type {kind!r}", "type"
+                    )
+            except TraceFormatError:
+                raise
+            except _RECORD_ERRORS as exc:
+                raise _record_error(lineno, record, exc) from exc
         trace.spans.sort(key=lambda s: s.span_id)
         return trace
 

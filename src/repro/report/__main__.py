@@ -11,10 +11,16 @@ Two input modes:
       python -m repro.report --bench E2
       python -m repro.report --bench E2 --full   # paper-scale parameters
 
-Either way the tool prints the ASCII report, writes the
-machine-readable ``BENCH_<id>.json`` verdict under ``--out``, and
-exits non-zero when a ``severity=critical`` SLO rule is still firing
-at the end of the run — the contract the CI smoke job relies on.
+Either way the tool prints the ASCII report and writes the
+machine-readable ``BENCH_<id>.json`` verdict under ``--out``.  Exit
+codes (the contract the CI smoke job relies on):
+
+- 0: the report passed;
+- 1: a ``severity=critical`` SLO rule is still firing at the end of
+  the run;
+- 2: bad input — bad arguments or rules, a missing or unreadable trace
+  file, or a trace line that is not a valid record (reported as
+  ``error: <path>: line N: missing field 'name'`` and the like).
 
 ``--stream`` routes either mode through the constant-memory streaming
 pass (:mod:`repro.obs.stream`): trace files are parsed line by line
@@ -31,6 +37,7 @@ import pathlib
 import sys
 
 from repro.obs.alerts import Rule, RuleError
+from repro.obs.export import TraceFormatError
 from repro.report import build_report, write_verdict
 from repro.report.scenarios import SCENARIOS, run_scenario
 
@@ -40,6 +47,8 @@ def _parse_args(argv):
         prog="python -m repro.report",
         description="Analyze a JSONL trace or run a named benchmark and "
         "emit a unified run report (ASCII + JSON verdict).",
+        epilog="exit codes: 0 pass, 1 a critical alert is firing, "
+        "2 bad input (arguments, rules or trace file)",
     )
     parser.add_argument(
         "trace",
@@ -206,6 +215,9 @@ def main(argv=None) -> int:
                 )
         except RuleError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (TraceFormatError, UnicodeDecodeError, OSError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
     else:
         print("error: pass a trace file or --bench (see --help)", file=sys.stderr)

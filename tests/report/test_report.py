@@ -183,6 +183,28 @@ class TestCli:
     def test_missing_trace_file(self, tmp_path):
         assert main([str(tmp_path / "nope.jsonl")]) == 2
 
+    @pytest.mark.parametrize("mode", [[], ["--stream"]])
+    def test_malformed_trace_is_bad_input(
+        self, trace_file, tmp_path, capsys, mode
+    ):
+        lines = trace_file.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        del record["name"]
+        lines[2] = json.dumps(record) + "\n"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines))
+        assert main([str(bad), "--out", str(tmp_path), *mode]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {bad}: line 3: missing field 'name'"
+        assert not (tmp_path / "BENCH_bad.json").exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--stream"]])
+    def test_undecodable_trace_is_bad_input(self, tmp_path, capsys, mode):
+        bad = tmp_path / "binary.jsonl"
+        bad.write_bytes(b"\xff\xfe\x00garbage\n")
+        assert main([str(bad), "--out", str(tmp_path), *mode]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     def test_no_input_errors(self):
         assert main([]) == 2
 
